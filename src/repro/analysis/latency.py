@@ -444,9 +444,16 @@ class SchemeLatency:
         return self.expected_cycles[p] * self.clock_ns
 
     def bracket_ns(self) -> str:
-        """The paper's ``[best][avg...][worst]`` notation in ns."""
+        """The paper's ``[best][avg...][worst]`` notation in ns.
+
+        Expected cycles are rounded to 1e-9 before scaling, so the text
+        depends on the exact value only and not on summation order: the
+        exact DP's 5.529999999999999 and the enumerator's
+        5.530000000000002 cycles both render as ``83.0`` ns.
+        """
         avgs = ", ".join(
-            f"{self.expected_ns(p):.1f}" for p in self.expected_cycles
+            f"{round(cycles, 9) * self.clock_ns:.1f}"
+            for cycles in self.expected_cycles.values()
         )
         return f"[{self.best_ns:.0f}][{avgs}][{self.worst_ns:.0f}]"
 

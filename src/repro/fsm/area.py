@@ -4,9 +4,10 @@ Two estimation paths:
 
 * **exact** — encode the states, build the truth table of every next-state
   bit and output signal (unused state codes and unreachable input combos
-  are don't-cares), minimize each with the Quine–McCluskey engine and count
-  literals.  Used whenever the total input width (state bits + FSM inputs)
-  fits :data:`repro.logic.quine_mccluskey.EXACT_WIDTH_LIMIT`.
+  are don't-cares), minimize each exactly with
+  :mod:`repro.logic.quine_mccluskey` and count literals.  Used whenever
+  the encoding is not one-hot and the total input width (state bits + FSM
+  inputs) fits :data:`repro.logic.quine_mccluskey.EXACT_WIDTH_LIMIT`.
 * **structural** — count each transition as one AND term (state-decode
   literals + guard literals) feeding OR planes per next-state bit and
   output.  Used for one-hot encodings and very large product FSMs.
@@ -156,44 +157,46 @@ def _structural_functions(
     )
 
 
+def _encoded_logic_block(
+    fsm: FSM, encoding_style: str
+) -> tuple[LogicBlockArea, str]:
+    """Encode, pick the estimation path once, and build the logic block.
+
+    Returns the block and its method: ``"exact"`` when the encoding is not
+    one-hot and the total input width fits
+    :data:`~repro.logic.quine_mccluskey.EXACT_WIDTH_LIMIT`, otherwise
+    ``"structural"``.
+    """
+    encoding = encode(fsm, encoding_style)
+    total_width = encoding.width + len(fsm.inputs)
+    exact = encoding.style != "one-hot" and total_width <= EXACT_WIDTH_LIMIT
+    build = _exact_functions if exact else _structural_functions
+    block = LogicBlockArea(
+        name=fsm.name,
+        functions=build(fsm, encoding),
+        num_flip_flops=encoding.num_flip_flops,
+    )
+    return block, "exact" if exact else "structural"
+
+
 def fsm_logic_block(
     fsm: FSM, encoding_style: str = "binary"
 ) -> LogicBlockArea:
     """Minimized logic block (functions + flip-flops) of an FSM."""
-    encoding = encode(fsm, encoding_style)
-    total_width = encoding.width + len(fsm.inputs)
-    use_exact = (
-        encoding.style != "one-hot" and total_width <= EXACT_WIDTH_LIMIT
-    )
-    if use_exact:
-        functions = _exact_functions(fsm, encoding)
-    else:
-        functions = _structural_functions(fsm, encoding)
-    return LogicBlockArea(
-        name=fsm.name,
-        functions=functions,
-        num_flip_flops=encoding.num_flip_flops,
-    )
+    return _encoded_logic_block(fsm, encoding_style)[0]
 
 
 def fsm_area(
     fsm: FSM, encoding_style: str = "binary"
 ) -> FSMAreaReport:
     """Table-1-style area report of one FSM."""
-    encoding = encode(fsm, encoding_style)
-    total_width = encoding.width + len(fsm.inputs)
-    method = (
-        "exact"
-        if encoding.style != "one-hot" and total_width <= EXACT_WIDTH_LIMIT
-        else "structural"
-    )
-    block = fsm_logic_block(fsm, encoding_style)
+    block, method = _encoded_logic_block(fsm, encoding_style)
     return FSMAreaReport(
         name=fsm.name,
         num_inputs=len(fsm.inputs),
         num_outputs=len(fsm.outputs),
         num_states=fsm.num_states,
-        num_flip_flops=encoding.num_flip_flops,
+        num_flip_flops=block.num_flip_flops,
         combinational_area=block.combinational_area,
         sequential_area=block.sequential_area,
         method=method,

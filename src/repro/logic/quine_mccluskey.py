@@ -1,86 +1,147 @@
-"""Quine–McCluskey prime-implicant generation and greedy cover selection.
+"""Exact prime-implicant generation and greedy cover selection.
 
-Exact prime generation followed by essential-prime extraction and a greedy
-set-cover heuristic for the cyclic core — the standard recipe for the
-function sizes controller synthesis produces (a dozen input variables or
-fewer).  Functions wider than :data:`EXACT_WIDTH_LIMIT` fall back to a
-single-cube-per-minterm cover with merged adjacent pairs, keeping area
-reports finite for stress-test inputs.
+**Primes.** The function's ``ones ∪ dont_cares`` become one truth-table
+int (bit ``m`` set for minterm ``m``) and primes come from recursive
+Shannon cofactoring on its top variable ``x``.  Every prime of ``f`` is
+either a prime of ``f0·f1`` (``x`` free) or ``x̄·c`` / ``x·c`` for a prime
+``c`` of the cofactor ``f0`` / ``f1`` that no prime of ``f0·f1``
+contains.  A prime of ``f0·f1`` that contains ``c`` implies the cofactor,
+so it *is* ``c``: the containment test is set membership.  Sub-results
+are memoized on ``(table, width)`` within one call, so the many equal
+cofactors of a mostly don't-care controller function are solved once.
+
+**Cover.** The required minterms are indexed and each prime's coverage
+becomes an int bitmask over that index.  Essential primes (sole owners of
+some required minterm) come first; the cyclic core is covered greedily,
+picking the most new minterms, then the fewest literals, then the largest
+cube text.  The greedy loop runs on a lazy max-heap: a stale gain is an
+upper bound and the key is a total order, so each pick is the same one an
+eager scan would make.
+
+This is the standard recipe for the function sizes controller synthesis
+produces (a dozen input variables or fewer).  Functions wider than
+:data:`EXACT_WIDTH_LIMIT` fall back to a single-cube-per-minterm cover
+with merged adjacent pairs, keeping area reports finite for stress-test
+inputs.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .terms import BooleanFunction, Cube
 
 #: Above this input width, exact prime generation is skipped.
 EXACT_WIDTH_LIMIT = 14
 
+#: The primes of a constant-one table: the tautology ``(care, value)``.
+_TAUTOLOGY = frozenset({(0, 0)})
+
 
 def prime_implicants(function: BooleanFunction) -> frozenset[Cube]:
-    """All prime implicants of ``ones ∪ dont_cares``.
+    """All prime implicants of ``ones ∪ dont_cares``."""
+    table = 0
+    for minterm in function.ones | function.dont_cares:
+        table |= 1 << minterm
+    return frozenset(
+        Cube(width=function.width, care=care, value=value)
+        for care, value in _primes(table, function.width, {})
+    )
 
-    Classic iterated pairwise combination: start from the minterm cubes,
-    repeatedly merge distance-one pairs, and keep every cube that never
-    merged.
+
+def _primes(
+    table: int, width: int, memo: dict[tuple[int, int], frozenset]
+) -> frozenset[tuple[int, int]]:
+    """Primes of a ``width``-input truth table as ``(care, value)`` pairs.
+
+    Cofactors keep the low ``width - 1`` variables in place, so their
+    primes are valid cubes of ``table`` once the split variable (bit
+    ``width - 1``) is added.
     """
-    current = {
-        Cube.minterm(function.width, m)
-        for m in function.ones | function.dont_cares
-    }
-    primes: set[Cube] = set()
-    while current:
-        merged: set[Cube] = set()
-        used: set[Cube] = set()
-        # Group by popcount of value for the classic adjacency pruning.
-        by_ones: dict[int, list[Cube]] = {}
-        for cube in current:
-            by_ones.setdefault(bin(cube.value).count("1"), []).append(cube)
-        for count, group in sorted(by_ones.items()):
-            for cube in group:
-                for other in by_ones.get(count + 1, ()):
-                    combined = cube.merge_distance_one(other)
-                    if combined is not None:
-                        merged.add(combined)
-                        used.add(cube)
-                        used.add(other)
-        primes |= current - used
-        current = merged
-    return frozenset(primes)
+    if not table:
+        return frozenset()
+    size = 1 << width
+    if table == (1 << size) - 1:
+        return _TAUTOLOGY
+    key = (table, width)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    half = size >> 1
+    low = table & ((1 << half) - 1)
+    high = table >> half
+    shared = _primes(low & high, width - 1, memo)
+    split = 1 << (width - 1)
+    primes = set(shared)
+    primes.update(
+        (care | split, value)
+        for care, value in _primes(low, width - 1, memo) - shared
+    )
+    primes.update(
+        (care | split, value | split)
+        for care, value in _primes(high, width - 1, memo) - shared
+    )
+    result = frozenset(primes)
+    memo[key] = result
+    return result
 
 
 def _greedy_cover(
     required: frozenset[int], candidates: frozenset[Cube]
 ) -> list[Cube]:
     """Essential primes first, then greedy max-coverage selection."""
-    remaining = set(required)
-    cover: list[Cube] = []
-
-    coverage = {
-        cube: frozenset(m for m in required if cube.contains(m))
-        for cube in candidates
-    }
-    # Essential primes: the only cube covering some required minterm.
-    for minterm in sorted(required):
-        owners = [c for c in candidates if minterm in coverage[c]]
-        if len(owners) == 1 and owners[0] not in cover:
-            cover.append(owners[0])
-            remaining -= coverage[owners[0]]
+    index = {m: i for i, m in enumerate(sorted(required))}
+    # Sorted by text, so the larger position wins the last tie-break.
+    primes = sorted(candidates, key=Cube.to_string)
+    masks = [_coverage(cube, index) for cube in primes]
+    # Essential primes: the only cube covering some required minterm,
+    # taken in order of the first such minterm.
+    once = twice = 0
+    for mask in masks:
+        twice |= once & mask
+        once |= mask
+    sole = once & ~twice
+    essentials = sorted(
+        ((mask & sole & -(mask & sole)).bit_length(), i)
+        for i, mask in enumerate(masks)
+        if mask & sole
+    )
+    cover = [primes[i] for _, i in essentials]
+    remaining = (1 << len(index)) - 1
+    for _, i in essentials:
+        remaining &= ~masks[i]
     # Greedy on the rest: most new minterms, fewest literals, stable order.
+    heap = [
+        (-gain, cube.num_literals, -i)
+        for i, cube in enumerate(primes)
+        if (gain := (masks[i] & remaining).bit_count())
+    ]
+    heapq.heapify(heap)
     while remaining:
-        best = max(
-            candidates,
-            key=lambda c: (
-                len(coverage[c] & remaining),
-                -c.num_literals,
-                c.to_string(),
-            ),
-        )
-        gained = coverage[best] & remaining
-        if not gained:
+        if not heap:
             raise AssertionError("greedy cover stuck; primes incomplete")
-        cover.append(best)
-        remaining -= gained
+        neg_gain, literals, neg_i = heapq.heappop(heap)
+        gain = (masks[-neg_i] & remaining).bit_count()
+        if gain == -neg_gain:
+            cover.append(primes[-neg_i])
+            remaining &= ~masks[-neg_i]
+        elif gain:
+            heapq.heappush(heap, (-gain, literals, neg_i))
     return cover
+
+
+def _coverage(cube: Cube, index: dict[int, int]) -> int:
+    """Bitmask of the indexed minterms ``cube`` contains."""
+    free = ~cube.care & ((1 << cube.width) - 1)
+    mask = 0
+    subset = free
+    while True:
+        bit = index.get(cube.value | subset)
+        if bit is not None:
+            mask |= 1 << bit
+        if not subset:
+            return mask
+        subset = (subset - 1) & free
 
 
 def minimize(function: BooleanFunction) -> tuple[Cube, ...]:

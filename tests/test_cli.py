@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+REPORT = Path(__file__).parent.parent / "REPORT.md"
+
+
+def report_block(title: str) -> str:
+    """The fenced text under one ``## title`` section of REPORT.md."""
+    section = REPORT.read_text().split(f"## {title}\n\n```\n", 1)[1]
+    return section.split("\n```\n", 1)[0]
 
 
 class TestBenchmarksCommand:
@@ -147,6 +157,17 @@ class TestAnalysisCommands:
     def test_table1(self, capsys):
         assert main(["table1", "fig3"]) == 0
         assert "Area(Com./Seq.)" in capsys.readouterr().out
+
+    def test_table1_matches_report(self, capsys):
+        assert main(["table1"]) == 0
+        # The report strips the padding after the table's last cell.
+        out = capsys.readouterr().out
+        assert out.rstrip() == report_block("Table 1 — controller area")
+
+    def test_table2_matches_report(self, capsys):
+        assert main(["table2"]) == 0
+        out = capsys.readouterr().out
+        assert out == report_block("Table 2 — latency comparison") + "\n"
 
     def test_distribution(self, capsys):
         assert main(["distribution", "fir3", "--p", "0.5"]) == 0

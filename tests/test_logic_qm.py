@@ -18,6 +18,69 @@ def fn(width, ones, dc=()):
     )
 
 
+# -- reference implementation (differential oracle) ----------------------
+def oracle_primes(function):
+    """Primes by classic iterated pairwise distance-one merging."""
+    current = {
+        Cube.minterm(function.width, m)
+        for m in function.ones | function.dont_cares
+    }
+    primes = set()
+    while current:
+        merged = set()
+        used = set()
+        by_ones = {}
+        for cube in current:
+            by_ones.setdefault(bin(cube.value).count("1"), []).append(cube)
+        for count, group in sorted(by_ones.items()):
+            for cube in group:
+                for other in by_ones.get(count + 1, ()):
+                    combined = cube.merge_distance_one(other)
+                    if combined is not None:
+                        merged.add(combined)
+                        used.add(cube)
+                        used.add(other)
+        primes |= current - used
+        current = merged
+    return frozenset(primes)
+
+
+def oracle_cover(required, candidates):
+    """Essential primes, then an eager greedy max-coverage scan."""
+    remaining = set(required)
+    cover = []
+    coverage = {
+        cube: frozenset(m for m in required if cube.contains(m))
+        for cube in candidates
+    }
+    for minterm in sorted(required):
+        owners = [c for c in candidates if minterm in coverage[c]]
+        if len(owners) == 1 and owners[0] not in cover:
+            cover.append(owners[0])
+            remaining -= coverage[owners[0]]
+    while remaining:
+        best = max(
+            candidates,
+            key=lambda c: (
+                len(coverage[c] & remaining),
+                -c.num_literals,
+                c.to_string(),
+            ),
+        )
+        gained = coverage[best] & remaining
+        if not gained:
+            raise AssertionError("greedy cover stuck; primes incomplete")
+        cover.append(best)
+        remaining -= gained
+    return cover
+
+
+def oracle_minimize(function):
+    """:func:`minimize` of a narrow function, built on the reference."""
+    primes = oracle_primes(function)
+    return tuple(sorted(oracle_cover(function.ones, primes)))
+
+
 class TestPrimeImplicants:
     def test_classic_example(self):
         # f(a,b,c,d) with minterms 4,8,10,11,12,15 and dc 9,14
@@ -82,16 +145,30 @@ class TestVerifyCover:
             verify_cover(f, (Cube(width=2, care=0, value=0),))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sets(st.integers(0, 31), max_size=20),
-    st.sets(st.integers(0, 31), max_size=8),
-)
-def test_minimize_always_correct(ones, dc):
-    """Property: minimized covers are functionally exact on 5-var inputs."""
-    dc = dc - ones
-    f = fn(5, ones, dc)
+@st.composite
+def functions(draw):
+    """Incompletely specified functions of 1 to 9 inputs."""
+    width = draw(st.integers(1, 9))
+    points = 1 << width
+    ones = draw(st.integers(0, (1 << points) - 1))
+    dc = draw(st.integers(0, (1 << points) - 1)) & ~ones
+    return fn(
+        width,
+        (m for m in range(points) if ones >> m & 1),
+        (m for m in range(points) if dc >> m & 1),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(functions())
+def test_minimize_always_correct(f):
+    """Property: primes and covers equal the pairwise reference exactly.
+
+    The cover is also functionally exact (every one covered, no zero).
+    """
+    assert prime_implicants(f) == oracle_primes(f)
     cover = minimize(f)
+    assert cover == oracle_minimize(f)
     verify_cover(f, cover)
 
 
