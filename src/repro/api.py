@@ -56,17 +56,32 @@ class SynthesisResult:
         """The full centralized product FSM (Fig. 4(a) expansion)."""
         return build_cent_fsm(self.bound)
 
+    # Controller systems compile their FSMs once and are immutable
+    # afterwards, so each style's system is built once per result and
+    # shared by every simulation, campaign trial and product build.
+    @cached_property
+    def _distributed_system(self) -> ControllerSystem:
+        return self.distributed.system()
+
+    @cached_property
+    def _cent_sync_system(self) -> ControllerSystem:
+        return single_fsm_system(self.cent_sync_fsm, key="cent-sync")
+
+    @cached_property
+    def _cent_system(self) -> ControllerSystem:
+        return single_fsm_system(self.cent_fsm, key="cent")
+
     def distributed_system(self) -> ControllerSystem:
         """Executable distributed controllers for the simulator."""
-        return self.distributed.system()
+        return self._distributed_system
 
     def cent_sync_system(self) -> ControllerSystem:
         """Executable synchronized centralized controller."""
-        return single_fsm_system(self.cent_sync_fsm, key="cent-sync")
+        return self._cent_sync_system
 
     def cent_system(self) -> ControllerSystem:
         """Executable centralized product controller."""
-        return single_fsm_system(self.cent_fsm, key="cent")
+        return self._cent_system
 
     def latency_comparison(
         self, ps: Sequence[float] = (0.9, 0.7, 0.5), **kwargs

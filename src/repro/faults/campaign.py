@@ -416,24 +416,25 @@ def _run_trial(
     the campaign arguments, so the same task produces the same record in
     any process.  The fault menu is rebuilt per trial because its entries
     are closures (unpicklable); menu construction is cheap next to the
-    three simulations a trial runs.
+    two simulations a trial runs.  One controller system (cached on
+    ``result``) serves the fault menu, the clean run and the faulty run:
+    it is immutable, and an injector only wraps it.
     """
     style, span, trial = task
     bound = result.bound
     monitors = MonitorConfig(handshake=True)
-    probe = _system_for(result, style)
-    menu = _fault_menu(probe, bound, span)
+    system = _system_for(result, style)
+    menu = _fault_menu(system, bound, span)
     rng = random.Random(f"{seed}:{style}:{trial}")
     fault = menu[rng.randrange(len(menu))](rng)
     sim_seed = rng.randrange(2**32)
     clean = simulate(
-        _system_for(result, style),
+        system,
         bound,
         spec.model(),
         seed=sim_seed,
         inputs=inputs,
     )
-    system = _system_for(result, style)
     if fault.injector is not None:
         system = inject(system, fault.injector)
     completion: CompletionModel = spec.model()

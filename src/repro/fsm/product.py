@@ -58,6 +58,14 @@ def build_product_fsm(
     transitions: list[Transition] = []
     outputs: set[str] = set()
 
+    assignments = [
+        {unit: bool((assignment >> i) & 1) for i, unit in enumerate(units)}
+        for assignment in range(1 << width)
+    ]
+    # Guard covers per minterm set: the same few completion patterns
+    # recur across thousands of (source, target, outputs) groups.
+    covers: dict[frozenset[int], tuple[dict[str, bool], ...]] = {}
+
     frontier = [initial]
     while frontier:
         config = frontier.pop()
@@ -66,11 +74,7 @@ def build_product_fsm(
             tuple[SystemConfig, frozenset[str], frozenset[str], frozenset[str]],
             set[int],
         ] = {}
-        for assignment in range(1 << width):
-            values = {
-                unit: bool((assignment >> i) & 1)
-                for i, unit in enumerate(units)
-            }
+        for assignment, values in enumerate(assignments):
             step = system.step(config, values)
             key = (step.config, step.outputs, step.starts, step.completes)
             groups.setdefault(key, set()).add(assignment)
@@ -86,19 +90,20 @@ def build_product_fsm(
                 frontier.append(next_config)
             outputs |= outs
             if len(minterms) == 1 << width:
-                cubes: tuple = ({},)
+                cubes: tuple[dict[str, bool], ...] = ({},)
             else:
-                cover = minimize(
-                    BooleanFunction(width=width, ones=frozenset(minterms))
-                )
-                cubes = tuple(
-                    {
-                        signals[i]: bool((cube.value >> i) & 1)
-                        for i in range(width)
-                        if (cube.care >> i) & 1
-                    }
-                    for cube in cover
-                )
+                ones = frozenset(minterms)
+                if ones not in covers:
+                    cover = minimize(BooleanFunction(width=width, ones=ones))
+                    covers[ones] = tuple(
+                        {
+                            signals[i]: bool((cube.value >> i) & 1)
+                            for i in range(width)
+                            if (cube.care >> i) & 1
+                        }
+                        for cube in cover
+                    )
+                cubes = covers[ones]
             for guard in cubes:
                 transitions.append(
                     make_transition(

@@ -56,6 +56,18 @@ class ResourceAllocation:
         names = [u.name for u in self.units]
         if len(set(names)) != len(names):
             raise AllocationError(f"duplicate unit names in {names}")
+        # Timing lookups run per simulated operation; the units never
+        # change, so the name index and the clock are computed once.
+        period = 0.0
+        for u in self.units:
+            if u.is_telescopic:
+                period = max(period, u.level_delays_ns[0])
+            else:
+                period = max(period, u.worst_delay_ns)
+        object.__setattr__(
+            self, "_by_name", {u.name: u for u in self.units}
+        )
+        object.__setattr__(self, "_clock_period_ns", period)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -158,10 +170,10 @@ class ResourceAllocation:
 
     def unit(self, name: str) -> ArithmeticUnit:
         """Look up a unit by name."""
-        for u in self.units:
-            if u.name == name:
-                return u
-        raise AllocationError(f"no unit named {name!r}")
+        try:
+            return self._by_name[name]  # type: ignore[attr-defined]
+        except KeyError:
+            raise AllocationError(f"no unit named {name!r}") from None
 
     def units_of_class(
         self, resource_class: ResourceClass
@@ -186,13 +198,7 @@ class ResourceAllocation:
         The smallest period at which something completes every cycle: the
         maximum over telescopic first-level delays and fixed delays.
         """
-        period = 0.0
-        for u in self.units:
-            if u.is_telescopic:
-                period = max(period, u.level_delays_ns[0])
-            else:
-                period = max(period, u.worst_delay_ns)
-        return period
+        return self._clock_period_ns  # type: ignore[attr-defined]
 
     def original_clock_period_ns(self) -> float:
         """Clock of the conventional design (paper's ``CC``): worst delays."""
